@@ -36,6 +36,13 @@ go test -race -count=2 -run 'Drain|Preempt|Budget|Admission|Atomic|Save' ./inter
 go test -race -count=2 ./internal/obs/
 go test -race -count=2 -run 'Singleflight|SearchModelled|RepsEnabled|Observer' ./internal/autotune/
 go test -race -count=2 -run 'Bitwise|ReduceChunk|Deterministic' ./internal/linalg/ ./internal/solver/
+# Kernel gate: the hopping kernel's output bits are pinned by SHA-256
+# hashes recorded from the original general-phase kernel, each of the
+# eight direction-table entries is checked alone against the dense
+# projector in both precisions, Wilson.Apply must give identical bits
+# from concurrent callers, and the distributed stencil must match the
+# shared-memory operator bit for bit. All under -race, -count=2.
+go test -race -count=2 -run 'BitPin|HopDir|Concurrent|Distributed' ./internal/dirac/ ./internal/domain/
 go test -race -run 'Obs|Timeline|Trace' ./internal/runtime/ ./internal/core/ ./internal/cluster/
 # Cache gate: the content-addressed result cache must be race-free and
 # deterministic - the LRU eviction order, the byte budget, the disk

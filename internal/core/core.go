@@ -123,8 +123,21 @@ type RealResult struct {
 	SolvesPerConfig int
 }
 
-// RunReal executes the FH pipeline on real gauge configurations.
+// checkJackknife refuses a pipeline run too small to jackknife, before
+// any gauge configuration is generated.
+func (cfg RealConfig) checkJackknife() error {
+	if cfg.NConfigs < 2 {
+		return fmt.Errorf("core: %d configurations; need >= 2", cfg.NConfigs)
+	}
+	return nil
+}
+
+// RunReal executes the FH pipeline on real gauge configurations. It needs
+// at least two configurations for the jackknife.
 func RunReal(cfg RealConfig) (*RealResult, error) {
+	if err := cfg.checkJackknife(); err != nil {
+		return nil, err
+	}
 	g, err := lattice.New(cfg.Dims)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -77,6 +79,44 @@ func TestRunRealProducesFiniteCurves(t *testing.T) {
 		for tt := 1; tt <= 2; tt++ {
 			if c2[tt] <= 0 {
 				t.Fatalf("C2(%d) = %g", tt, c2[tt])
+			}
+		}
+	}
+}
+
+// TestRunRealRejectsTooFewConfigs: the jackknife needs two
+// configurations, so every pipeline entry point refuses fewer with an
+// error (instead of panicking after the solves).
+func TestRunRealRejectsTooFewConfigs(t *testing.T) {
+	runs := map[string]func(RealConfig) error{
+		"RunReal": func(cfg RealConfig) error {
+			_, err := RunReal(cfg)
+			return err
+		},
+		"RunRealCached": func(cfg RealConfig) error {
+			_, err := RunRealCached(cfg, nil)
+			return err
+		},
+		"RunRealConcurrent": func(cfg RealConfig) error {
+			_, _, err := RunRealConcurrent(context.Background(), cfg, 2)
+			return err
+		},
+		"RunRealConcurrentObs": func(cfg RealConfig) error {
+			_, _, err := RunRealConcurrentObs(context.Background(), cfg, 2, ObsConfig{})
+			return err
+		},
+		"RunRealConcurrentCached": func(cfg RealConfig) error {
+			_, _, err := RunRealConcurrentCached(context.Background(), cfg, 2, ObsConfig{}, nil)
+			return err
+		},
+	}
+	for name, run := range runs {
+		for _, n := range []int{0, 1} {
+			cfg := DefaultRealConfig()
+			cfg.NConfigs = n
+			err := run(cfg)
+			if err == nil || !strings.Contains(err.Error(), "need >= 2") {
+				t.Errorf("%s with NConfigs=%d: err = %v, want a need >= 2 error", name, n, err)
 			}
 		}
 	}

@@ -34,6 +34,13 @@ type MobiusEO struct {
 	// transpose of minvP because the sectors are transposes of each other.
 	minvP, minvM []float64
 
+	// nbr[p][i*HopDirs+d] is the half-volume index, in the opposite
+	// parity, of the neighbour in direction d of site i of parity p;
+	// link[p][i*HopDirs+d] is the lexicographic site holding that hop's
+	// link, U_mu(x) forward or U_mu(x-mu) backward. Both are built once
+	// here and shared with the single-precision mirror.
+	nbr, link [2][]int32
+
 	// Scratch half-fields (Ls * HalfVol * SpinorLen each).
 	t1, t2, t3 []complex128
 }
@@ -64,6 +71,7 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) {
 	}
 	p.minvP = inv
 	p.minvM = linalg.TransposeReal(ls, inv)
+	p.nbr, p.link = hopTables(p.EO)
 	n := p.HalfSize()
 	p.t1 = make([]complex128, n)
 	p.t2 = make([]complex128, n)
@@ -80,35 +88,54 @@ func (p *MobiusEO) HalfSize() int { return p.M.Ls * p.HalfVol() * SpinorLen }
 // Size implements the solver operator interface on half fields.
 func (p *MobiusEO) Size() int { return p.HalfSize() }
 
+// hopTables builds the even-odd neighbour and link index tables of
+// MobiusEO.nbr and MobiusEO.link.
+func hopTables(eo *lattice.EvenOdd) (nbr, link [2][]int32) {
+	g := eo.G
+	hv := eo.HalfVol()
+	for par := 0; par < 2; par++ {
+		nbr[par] = make([]int32, hv*HopDirs)
+		link[par] = make([]int32, hv*HopDirs)
+		for i := 0; i < hv; i++ {
+			lex := int(eo.EOToLex[par][i])
+			for mu := 0; mu < lattice.NDim; mu++ {
+				k := i*HopDirs + 2*mu
+				fw, bw := g.Fwd(lex, mu), g.Bwd(lex, mu)
+				nbr[par][k], link[par][k] = eo.LexToEO[fw], int32(lex)
+				nbr[par][k+1], link[par][k+1] = eo.LexToEO[bw], int32(bw)
+			}
+		}
+	}
+	return nbr, link
+}
+
 // hopHalf applies the parity-flipping Wilson hopping term (including its
 // -1/2) to every fifth-dimension slice: dst, of parity pOut, receives the
-// stencil of src, of parity 1-pOut. dst is overwritten.
+// stencil of src, of parity 1-pOut. dst is overwritten. The fifth
+// dimension is innermost: each site zeroes its Ls outputs, then looks up
+// each direction's neighbour and link once and applies them to all Ls
+// slices.
 func (p *MobiusEO) hopHalf(dst, src []complex128, pOut int) {
-	g := p.M.W.G
-	eo := p.EO
-	hv := p.HalfVol()
+	stride := p.HalfVol() * SpinorLen
+	n5 := p.M.Ls * stride
+	nbr, link := p.nbr[pOut], p.link[pOut]
 	u := &p.M.W.U.U
-	for s5 := 0; s5 < p.M.Ls; s5++ {
-		dOff := s5 * hv * SpinorLen
-		sOff := s5 * hv * SpinorLen
-		linalg.ForBlocked(hv, p.M.W.Workers, p.M.W.Block, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out := dst[dOff+i*SpinorLen : dOff+(i+1)*SpinorLen]
-				for k := range out {
-					out[k] = 0
-				}
-				lex := int(eo.EOToLex[pOut][i])
-				for mu := 0; mu < lattice.NDim; mu++ {
-					fwLex := g.Fwd(lex, mu)
-					j := int(eo.LexToEO[fwLex])
-					hopAccum(out, src[sOff+j*SpinorLen:sOff+(j+1)*SpinorLen], &u[mu][lex], mu, -1, false)
-					bwLex := g.Bwd(lex, mu)
-					j = int(eo.LexToEO[bwLex])
-					hopAccum(out, src[sOff+j*SpinorLen:sOff+(j+1)*SpinorLen], &u[mu][bwLex], mu, +1, true)
+	linalg.ForBlocked(p.HalfVol(), p.M.W.Workers, p.M.W.Block, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			o := i * SpinorLen
+			for off := 0; off < n5; off += stride {
+				clear(dst[off+o : off+o+SpinorLen])
+			}
+			for d := 0; d < HopDirs; d++ {
+				j := int(nbr[i*HopDirs+d]) * SpinorLen
+				l := &u[d/2][link[i*HopDirs+d]]
+				for off := 0; off < n5; off += stride {
+					HopSite((*[SpinorLen]complex128)(dst[off+o:off+o+SpinorLen]),
+						(*[SpinorLen]complex128)(src[off+j:off+j+SpinorLen]), l, d)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // applyB computes dst = (b5 + c5*chi) src, or its dagger, on a half field.

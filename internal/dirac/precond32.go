@@ -50,31 +50,30 @@ func (q *MobiusEO32) Size() int { return q.P.HalfSize() }
 
 func (q *MobiusEO32) workers() int { return q.P.M.W.Workers }
 
+// hopHalf mirrors MobiusEO.hopHalf in single precision, over the
+// parent's neighbour and link tables.
 func (q *MobiusEO32) hopHalf(dst, src []complex64, pOut int) {
-	g := q.P.M.W.G
-	eo := q.P.EO
-	hv := q.P.HalfVol()
+	p := q.P
+	stride := p.HalfVol() * SpinorLen
+	n5 := p.M.Ls * stride
+	nbr, link := p.nbr[pOut], p.link[pOut]
 	u := &q.U.U
-	for s5 := 0; s5 < q.P.M.Ls; s5++ {
-		off := s5 * hv * SpinorLen
-		linalg.For(hv, q.workers(), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out := dst[off+i*SpinorLen : off+(i+1)*SpinorLen]
-				for k := range out {
-					out[k] = 0
-				}
-				lex := int(eo.EOToLex[pOut][i])
-				for mu := 0; mu < 4; mu++ {
-					fwLex := g.Fwd(lex, mu)
-					j := int(eo.LexToEO[fwLex])
-					hopAccum32(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][lex], mu, -1, false)
-					bwLex := g.Bwd(lex, mu)
-					j = int(eo.LexToEO[bwLex])
-					hopAccum32(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][bwLex], mu, +1, true)
+	linalg.For(p.HalfVol(), q.workers(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			o := i * SpinorLen
+			for off := 0; off < n5; off += stride {
+				clear(dst[off+o : off+o+SpinorLen])
+			}
+			for d := 0; d < HopDirs; d++ {
+				j := int(nbr[i*HopDirs+d]) * SpinorLen
+				l := &u[d/2][link[i*HopDirs+d]]
+				for off := 0; off < n5; off += stride {
+					hopSite32((*[SpinorLen]complex64)(dst[off+o:off+o+SpinorLen]),
+						(*[SpinorLen]complex64)(src[off+j:off+j+SpinorLen]), l, d)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // chiApply32 mirrors chiApply in single precision; the boundary weights

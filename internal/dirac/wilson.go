@@ -44,16 +44,16 @@ func (w *Wilson) Apply(dst, src []complex128) {
 	g := w.G
 	linalg.ForBlocked(g.Vol, w.Workers, w.Block, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			out := dst[s*SpinorLen : (s+1)*SpinorLen]
-			in := src[s*SpinorLen : (s+1)*SpinorLen]
-			for i := 0; i < SpinorLen; i++ {
+			out := (*[SpinorLen]complex128)(dst[s*SpinorLen : (s+1)*SpinorLen])
+			in := (*[SpinorLen]complex128)(src[s*SpinorLen : (s+1)*SpinorLen])
+			for i := range out {
 				out[i] = diag * in[i]
 			}
 			for mu := 0; mu < lattice.NDim; mu++ {
 				fw := g.Fwd(s, mu)
-				hopAccum(out, src[fw*SpinorLen:(fw+1)*SpinorLen], &w.U.U[mu][s], mu, -1, false)
+				HopSite(out, (*[SpinorLen]complex128)(src[fw*SpinorLen:(fw+1)*SpinorLen]), &w.U.U[mu][s], 2*mu)
 				bw := g.Bwd(s, mu)
-				hopAccum(out, src[bw*SpinorLen:(bw+1)*SpinorLen], &w.U.U[mu][bw], mu, +1, true)
+				HopSite(out, (*[SpinorLen]complex128)(src[bw*SpinorLen:(bw+1)*SpinorLen]), &w.U.U[mu][bw], 2*mu+1)
 			}
 		}
 	})
@@ -70,46 +70,6 @@ func (w *Wilson) ApplyDagger(dst, src []complex128) {
 
 // Flops returns the flop count of one Apply in the standard convention.
 func (w *Wilson) Flops() int64 { return int64(w.G.Vol) * WilsonFlopsPerSite }
-
-// hopAccum accumulates one hopping term into out:
-//
-//	out += -1/2 (1 + projSign*gamma_mu) U(or U^dag) in
-//
-// using the spin-projection trick: (1 + s*gamma_mu) has rank two, so only
-// two color-vector SU(3) multiplies are needed, with the lower spin
-// components reconstructed by a phase. adjoint selects U^dag (backward
-// hop). This is the QUDA matrix-free stencil in scalar form.
-func hopAccum(out, in []complex128, u *linalg.SU3, mu, projSign int, adjoint bool) {
-	p0 := linalg.GammaPerm[mu][0]
-	p1 := linalg.GammaPerm[mu][1]
-	ph0 := linalg.GammaPhase[mu][0]
-	ph1 := linalg.GammaPhase[mu][1]
-	sgn := complex(float64(projSign), 0)
-
-	var h0, h1 [3]complex128
-	for c := 0; c < 3; c++ {
-		h0[c] = in[0*3+c] + sgn*ph0*in[p0*3+c]
-		h1[c] = in[1*3+c] + sgn*ph1*in[p1*3+c]
-	}
-	var uh0, uh1 [3]complex128
-	if adjoint {
-		uh0 = u.AdjMulVec(&h0)
-		uh1 = u.AdjMulVec(&h1)
-	} else {
-		uh0 = u.MulVec(&h0)
-		uh1 = u.MulVec(&h1)
-	}
-	// Reconstruction: component p0 carries projSign*conj(ph0) times the
-	// projected upper component (gamma_mu^2 = 1 makes the phases inverses).
-	r0 := sgn * complex(real(ph0), -imag(ph0))
-	r1 := sgn * complex(real(ph1), -imag(ph1))
-	for c := 0; c < 3; c++ {
-		out[0*3+c] -= 0.5 * uh0[c]
-		out[1*3+c] -= 0.5 * uh1[c]
-		out[p0*3+c] -= 0.5 * r0 * uh0[c]
-		out[p1*3+c] -= 0.5 * r1 * uh1[c]
-	}
-}
 
 // Gamma5 computes dst = gamma_5 src on a 4-D field (diagonal in the
 // DeGrand-Rossi basis: spins 0,1 keep sign, spins 2,3 flip). dst and src

@@ -10,6 +10,7 @@ package domain
 import (
 	"fmt"
 
+	"femtoverse/internal/dirac"
 	"femtoverse/internal/gauge"
 	"femtoverse/internal/lattice"
 	"femtoverse/internal/linalg"
@@ -313,16 +314,16 @@ func (sub *Sub) StencilBoundary() {
 
 // neighborSpinor returns psi at the neighbor of local site s in direction
 // (mu, fwd), reading the ghost face when the hop crosses the rank edge.
-func (sub *Sub) neighborSpinor(s, mu int, fwd bool) []complex128 {
+func (sub *Sub) neighborSpinor(s, mu int, fwd bool) *[spinorLen]complex128 {
 	lc := sub.local.Coords(s)
 	if sub.Spec.Partitioned(mu) {
 		if fwd && lc[mu] == sub.local.Dims[mu]-1 {
 			i := sub.faceIndex[mu][1][s]
-			return sub.ghostSpin[mu][1][i*spinorLen : (i+1)*spinorLen]
+			return (*[spinorLen]complex128)(sub.ghostSpin[mu][1][i*spinorLen : (i+1)*spinorLen])
 		}
 		if !fwd && lc[mu] == 0 {
 			i := sub.faceIndex[mu][0][s]
-			return sub.ghostSpin[mu][0][i*spinorLen : (i+1)*spinorLen]
+			return (*[spinorLen]complex128)(sub.ghostSpin[mu][0][i*spinorLen : (i+1)*spinorLen])
 		}
 	}
 	var nb int
@@ -331,21 +332,22 @@ func (sub *Sub) neighborSpinor(s, mu int, fwd bool) []complex128 {
 	} else {
 		nb = sub.local.Bwd(s, mu)
 	}
-	return sub.src[nb*spinorLen : (nb+1)*spinorLen]
+	return (*[spinorLen]complex128)(sub.src[nb*spinorLen : (nb+1)*spinorLen])
 }
 
-// siteStencil applies the Wilson stencil at one local site.
+// siteStencil applies the Wilson stencil at one local site through the
+// shared-memory operator's site kernel, so the two agree bit for bit.
 func (sub *Sub) siteStencil(s int) {
-	out := sub.dst[s*spinorLen : (s+1)*spinorLen]
-	in := sub.src[s*spinorLen : (s+1)*spinorLen]
+	out := (*[spinorLen]complex128)(sub.dst[s*spinorLen : (s+1)*spinorLen])
+	in := (*[spinorLen]complex128)(sub.src[s*spinorLen : (s+1)*spinorLen])
 	diag := complex(4+sub.Spec.Mass, 0)
-	for i := 0; i < spinorLen; i++ {
+	for i := range out {
 		out[i] = diag * in[i]
 	}
 	lc := sub.local.Coords(s)
 	for mu := 0; mu < lattice.NDim; mu++ {
 		// Forward hop: (1-gamma) U_mu(x) psi(x+mu).
-		hopAccumLocal(out, sub.neighborSpinor(s, mu, true), &sub.Spec.U[mu][s], mu, -1, false)
+		dirac.HopSite(out, sub.neighborSpinor(s, mu, true), &sub.Spec.U[mu][s], 2*mu)
 		// Backward hop: (1+gamma) U_mu(x-mu)^dag psi(x-mu).
 		var link *linalg.SU3
 		if sub.Spec.Partitioned(mu) && lc[mu] == 0 {
@@ -353,36 +355,6 @@ func (sub *Sub) siteStencil(s int) {
 		} else {
 			link = &sub.Spec.U[mu][sub.local.Bwd(s, mu)]
 		}
-		hopAccumLocal(out, sub.neighborSpinor(s, mu, false), link, mu, +1, true)
-	}
-}
-
-// hopAccumLocal mirrors the shared-memory kernel's hopping term.
-func hopAccumLocal(out, in []complex128, u *linalg.SU3, mu, projSign int, adjoint bool) {
-	p0 := linalg.GammaPerm[mu][0]
-	p1 := linalg.GammaPerm[mu][1]
-	ph0 := linalg.GammaPhase[mu][0]
-	ph1 := linalg.GammaPhase[mu][1]
-	sgn := complex(float64(projSign), 0)
-	var h0, h1 [3]complex128
-	for c := 0; c < 3; c++ {
-		h0[c] = in[0*3+c] + sgn*ph0*in[p0*3+c]
-		h1[c] = in[1*3+c] + sgn*ph1*in[p1*3+c]
-	}
-	var uh0, uh1 [3]complex128
-	if adjoint {
-		uh0 = u.AdjMulVec(&h0)
-		uh1 = u.AdjMulVec(&h1)
-	} else {
-		uh0 = u.MulVec(&h0)
-		uh1 = u.MulVec(&h1)
-	}
-	r0 := sgn * complex(real(ph0), -imag(ph0))
-	r1 := sgn * complex(real(ph1), -imag(ph1))
-	for c := 0; c < 3; c++ {
-		out[0*3+c] -= 0.5 * uh0[c]
-		out[1*3+c] -= 0.5 * uh1[c]
-		out[p0*3+c] -= 0.5 * r0 * uh0[c]
-		out[p1*3+c] -= 0.5 * r1 * uh1[c]
+		dirac.HopSite(out, sub.neighborSpinor(s, mu, false), link, 2*mu+1)
 	}
 }
