@@ -27,6 +27,15 @@ go test -race -count=2 ./internal/fault/ ./internal/runtime/ ./internal/cluster/
 # allocation can end (wall clock, SIGTERM, injected preemption) at any
 # instant without losing journaled work or corrupting a checkpoint.
 go test -race -count=2 -run 'Drain|Preempt|Budget|Admission|Atomic|Save' ./internal/core/ ./internal/hio/
+# Column gate: a campaign is scheduled as twelve propagator-column tasks
+# per configuration plus a dependent contraction, each column solving on
+# its own scratch-only fork of the configuration's operator pair. Forks
+# solving different columns concurrently must give the sequential bits,
+# uneven campaigns must match RunBatch bit for bit with the same solver
+# counters, and a failed column must fail its contraction and keep the
+# configuration out of the journal. Scoped to the new tests because the
+# full core race sweep above already runs close to its timeout.
+go test -race -count=2 -run 'Column|Fork' ./internal/core/ ./internal/dirac/ ./internal/prop/
 # Observability gate: the metrics registry and span tracer must be
 # race-free under concurrent instrumentation, the autotuner must perform
 # exactly one search per cold key under concurrent Execute (the

@@ -132,7 +132,7 @@ func main() {
 		seed       = flag.Int64("seed", 11, "RNG seed")
 		checkpoint = flag.String("checkpoint", "", "campaign checkpoint file: resume if it exists, save after each batch")
 		batch      = flag.Int("batch", 2, "configurations to measure per invocation in checkpoint mode")
-		workers    = flag.Int("workers", 0, "solve configurations concurrently on this many workers (0 = sequential); results are bit-for-bit identical either way")
+		workers    = flag.Int("workers", 0, "solve propagator columns concurrently on this many workers (0 = sequential); results are bit-for-bit identical either way")
 		journal    = flag.String("journal", "", "campaign write-ahead journal: resume if it exists, run every remaining configuration, log each as it finishes")
 		walltime   = flag.Duration("walltime", 0, "journal mode: allocation wall clock; the runtime refuses work that cannot finish and drains at expiry (0 = unbounded)")
 		drainGrace = flag.Duration("drain-grace", 10*time.Second, "journal mode: how long in-flight solves may keep running once a drain begins")

@@ -461,8 +461,8 @@ func RunJobs(ctx context.Context, cfg JobConfig, tasks []JobTask) ([]JobResult, 
 }
 
 // RunRealPipelineConcurrent is RunRealPipeline on the job runtime:
-// bit-for-bit the same physics, computed with `workers` configurations
-// in flight, plus the runtime's utilization report.
+// bit-for-bit the same physics, computed as propagator-column tasks on
+// `workers` solve workers, plus the runtime's utilization report.
 func RunRealPipelineConcurrent(ctx context.Context, cfg RealPipelineConfig, workers int) (*RealPipelineResult, *JobReport, error) {
 	return core.RunRealConcurrent(ctx, cfg, workers)
 }

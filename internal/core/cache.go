@@ -60,20 +60,16 @@ func (c *Campaign) cacheLookup(i int) (c2, cfh []float64, ok bool) {
 }
 
 // solveThroughCache runs one configuration's solve+contract stage through
-// the content-addressed cache: a hit (from this process or a previous
-// one) skips the solver entirely; a miss runs the shared compute path
-// exactly once across all concurrent campaigns on the same store (per-key
-// singleflight) and persists the correlators. Because solves are bitwise
-// deterministic, the decoded correlators are bit-for-bit what the solver
-// would have produced.
-func (c *Campaign) solveThroughCache(tctx context.Context, i int, u *gauge.Field, restart *int) (c2, cfh []float64, err error) {
-	c2, cfh, restarts, err := SolveConfigCached(tctx, c.Spec, i,
+// the campaign's content-addressed cache: a hit (from this process or a
+// previous one) skips the solver entirely; a miss runs the shared compute
+// path exactly once across all concurrent campaigns on the same store
+// (per-key singleflight) and persists the correlators. Because solves are
+// bitwise deterministic, the decoded correlators are bit-for-bit what the
+// solver would have produced. Without a cache it is a plain solve. The
+// solver-work counters land in the campaign's metrics registry.
+func (c *Campaign) solveThroughCache(tctx context.Context, i int, u *gauge.Field) (c2, cfh []float64, restarts int, err error) {
+	return SolveConfigCached(tctx, c.Spec, i,
 		func() (*gauge.Field, error) { return u, nil }, c.Cache, c.Obs.Metrics)
-	if err != nil {
-		return nil, nil, err
-	}
-	*restart = restarts
-	return c2, cfh, nil
 }
 
 // realResultFromCampaign assembles the RealResult of a completed

@@ -68,38 +68,43 @@ func (c *Campaign) Complete() bool { return c.Done() >= c.Spec.NConfigs }
 // deterministically, so resuming after a save/load produces identical
 // physics to an uninterrupted run.
 func (c *Campaign) RunBatch(n int) (int, error) {
+	done, _, err := c.runBatch(n, nil)
+	return done, err
+}
+
+// runBatch is the sequential driver behind RunBatch and
+// RunBatchJournaled: up to n outstanding configurations in order, each
+// solved through the campaign's cache (a plain solve without one) and,
+// with a journal, appended to it before the next one starts. It also
+// returns the solver's precision-escalation restarts.
+func (c *Campaign) runBatch(n int, j *Journal) (done, restarts int, err error) {
 	if n <= 0 || c.Complete() {
-		return 0, nil
+		return 0, 0, nil
 	}
 	g, err := lattice.New(c.Spec.Dims)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	configs := gauge.Ensemble(g, c.Spec.Seed, c.Spec.Beta, c.Spec.NConfigs,
 		c.Spec.ThermSweeps, c.Spec.GapSweeps)
-	done := 0
 	for i := 0; i < c.Spec.NConfigs && done < n; i++ {
 		if _, ok := c.C2[i]; ok {
 			continue
 		}
-		if c.Cache != nil {
-			var restarts int
-			c2, cfh, err := c.solveThroughCache(context.Background(), i, configs[i], &restarts)
-			if err != nil {
-				return done, fmt.Errorf("core: config %d: %w", i, err)
-			}
-			c.C2[i], c.CFH[i] = c2, cfh
-			done++
-			continue
-		}
-		p, err := solveConfig(context.Background(), c.Spec, configs[i])
+		c2, cfh, r, err := c.solveThroughCache(context.Background(), i, configs[i])
 		if err != nil {
-			return done, fmt.Errorf("core: config %d: %w", i, err)
+			return done, restarts, fmt.Errorf("core: config %d: %w", i, err)
 		}
-		c.C2[i], c.CFH[i] = contractConfig(p)
+		if j != nil {
+			if err := j.Append(i, c2, cfh); err != nil {
+				return done, restarts, fmt.Errorf("core: journal config %d: %w", i, err)
+			}
+		}
+		c.C2[i], c.CFH[i] = c2, cfh
+		restarts += r
 		done++
 	}
-	return done, nil
+	return done, restarts, nil
 }
 
 // Save writes the campaign state into an hio container group.

@@ -14,17 +14,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"femtoverse/internal/contract"
 	"femtoverse/internal/dirac"
 	"femtoverse/internal/ensemble"
-	"femtoverse/internal/gauge"
-	"femtoverse/internal/lattice"
 	"femtoverse/internal/physics"
 	"femtoverse/internal/solver"
-	"femtoverse/internal/stats"
 )
 
 // SyntheticResult is the outcome of the statistical (Fig. 1) analysis.
@@ -135,39 +130,7 @@ func (cfg RealConfig) checkJackknife() error {
 // RunReal executes the FH pipeline on real gauge configurations. It needs
 // at least two configurations for the jackknife.
 func RunReal(cfg RealConfig) (*RealResult, error) {
-	if err := cfg.checkJackknife(); err != nil {
-		return nil, err
-	}
-	g, err := lattice.New(cfg.Dims)
-	if err != nil {
-		return nil, err
-	}
-	configs := gauge.Ensemble(g, cfg.Seed, cfg.Beta, cfg.NConfigs, cfg.ThermSweeps, cfg.GapSweeps)
-	res := &RealResult{SolvesPerConfig: 24}
-	tExt := g.T()
-
-	for _, u := range configs {
-		p, err := solveConfig(context.Background(), cfg, u)
-		if err != nil {
-			return nil, err
-		}
-		c2, c3 := contractConfig(p)
-		res.C2 = append(res.C2, c2)
-		res.CFH = append(res.CFH, c3)
-	}
-
-	// Jackknifed effective coupling from the joint sample vectors.
-	joined := make([][]float64, len(res.C2))
-	for i := range joined {
-		v := make([]float64, 2*tExt)
-		copy(v[:tExt], res.C2[i])
-		copy(v[tExt:], res.CFH[i])
-		joined[i] = v
-	}
-	res.Geff, res.GeffErr = stats.JackknifeVec(joined, func(mean []float64) []float64 {
-		return contract.EffectiveGA(mean[tExt:], mean[:tExt])
-	})
-	return res, nil
+	return RunRealCached(cfg, nil)
 }
 
 // TimeToSolution quantifies the exponential advantage: samplesNeeded

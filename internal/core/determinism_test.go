@@ -44,7 +44,8 @@ func TestConcurrentCampaignBitForBit(t *testing.T) {
 		if err != nil || n != 4 {
 			t.Fatalf("workers=%d: %d, %v", workers, n, err)
 		}
-		if rep == nil || rep.Succeeded != 8 || rep.Failed != 0 {
+		// 4 configurations x (12 column tasks + 1 contraction).
+		if rep == nil || rep.Succeeded != 52 || rep.Failed != 0 {
 			t.Fatalf("workers=%d report: %+v", workers, rep)
 		}
 		if rep.SolveWorkers != workers {
@@ -103,7 +104,8 @@ func TestRunRealConcurrentMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep == nil || rep.Succeeded != 6 {
+	// 3 configurations x (12 column tasks + 1 contraction).
+	if rep == nil || rep.Succeeded != 39 {
 		t.Fatalf("report: %+v", rep)
 	}
 	if len(got.C2) != len(ref.C2) {

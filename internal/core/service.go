@@ -57,10 +57,7 @@ func SolveConfigCached(ctx context.Context, spec RealConfig, i int, field func()
 		if err != nil {
 			return nil, err
 		}
-		restarts = p.restarts
-		reg.Counter("core.configs_solved").Inc()
-		reg.Counter("core.solver_iterations").Add(int64(p.iters))
-		reg.Counter("core.solver_flops").Add(p.flops)
+		restarts = p.record(reg)
 		cc2, ccfh := contractConfig(p)
 		return cache.EncodeFloatSeries(cc2, ccfh)
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // Mobius is the 5-D Mobius domain-wall operator D(m). It owns scratch
-// buffers, so a single instance must not be used from multiple goroutines
-// concurrently (the internal site loops are already parallel).
+// buffers, allocated on the first Apply, so a single instance must not be
+// used from multiple goroutines concurrently (the internal site loops are
+// already parallel); Fork gives another goroutine its own.
 type Mobius struct {
 	W  *Wilson // 4-D kernel with Mass = -M5
 	Ls int
@@ -59,10 +60,27 @@ func NewMobius(u *gauge.Field, p MobiusParams) (*Mobius, error) {
 		C5: p.C5,
 		M:  p.M,
 	}
-	n := m.Size()
-	m.chi = make([]complex128, n)
-	m.cmb = make([]complex128, n)
 	return m, nil
+}
+
+// Fork returns a copy of m for another goroutine: it shares the gauge
+// field and parameters, owns its Wilson kernel settings (Workers, Block)
+// and allocates its own scratch on first use.
+func (m *Mobius) Fork() *Mobius {
+	f := *m
+	w := *m.W
+	f.W = &w
+	f.chi, f.cmb = nil, nil
+	return &f
+}
+
+// scratch allocates the full-field buffers of Apply and ApplyDagger on
+// first use; the preconditioned operators never need them.
+func (m *Mobius) scratch() {
+	if m.chi == nil {
+		m.chi = make([]complex128, m.Size())
+		m.cmb = make([]complex128, m.Size())
+	}
 }
 
 // Size returns the number of complex components of a compatible 5-D field.
@@ -132,6 +150,7 @@ func (m *Mobius) Apply(dst, src []complex128) {
 	if len(dst) != m.Size() || len(src) != m.Size() {
 		panic("dirac: Mobius.Apply size mismatch")
 	}
+	m.scratch()
 	chiApply(m.chi, src, m.Ls, m.vol4(), m.M, false)
 	b5 := complex(m.B5, 0)
 	c5 := complex(m.C5, 0)
@@ -157,6 +176,7 @@ func (m *Mobius) ApplyDagger(dst, src []complex128) {
 	if len(dst) != m.Size() || len(src) != m.Size() {
 		panic("dirac: Mobius.ApplyDagger size mismatch")
 	}
+	m.scratch()
 	// cmb = Dw^dag src, slice by slice.
 	Gamma5(m.chi, src)
 	for s := 0; s < m.Ls; s++ {

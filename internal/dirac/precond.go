@@ -72,11 +72,27 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) {
 	p.minvP = inv
 	p.minvM = linalg.TransposeReal(ls, inv)
 	p.nbr, p.link = hopTables(p.EO)
+	p.newScratch()
+	return p, nil
+}
+
+// Fork returns a scratch-only copy of p for another goroutine. The copy
+// shares everything immutable - the gauge field, the even-odd geometry,
+// the neighbour and link tables and the fifth-dimension inverses - and
+// owns only its t1..t3 buffers and its Wilson kernel settings, so forks
+// of one operator apply concurrently and each gives p's bits.
+func (p *MobiusEO) Fork() *MobiusEO {
+	f := *p
+	f.M = p.M.Fork()
+	f.newScratch()
+	return &f
+}
+
+func (p *MobiusEO) newScratch() {
 	n := p.HalfSize()
 	p.t1 = make([]complex128, n)
 	p.t2 = make([]complex128, n)
 	p.t3 = make([]complex128, n)
-	return p, nil
 }
 
 // HalfVol returns the number of 4-D sites per parity block.

@@ -38,11 +38,29 @@ func NewMobiusEO32(p *MobiusEO) *MobiusEO32 {
 	for i, v := range p.minvM {
 		q.minvM[i] = float32(v)
 	}
-	n := p.HalfSize()
+	q.newScratch()
+	return q
+}
+
+// Fork returns a scratch-only copy of q over p, which must be a Fork of
+// q.P (or q.P itself): the single-precision gauge field and inverses are
+// shared, the t1..t3 buffers are the copy's own, and the kernel width is
+// p's.
+func (q *MobiusEO32) Fork(p *MobiusEO) *MobiusEO32 {
+	if p.M.W.U != q.P.M.W.U {
+		panic("dirac: MobiusEO32.Fork over a different gauge field")
+	}
+	f := *q
+	f.P = p
+	f.newScratch()
+	return &f
+}
+
+func (q *MobiusEO32) newScratch() {
+	n := q.P.HalfSize()
 	q.t1 = make([]complex64, n)
 	q.t2 = make([]complex64, n)
 	q.t3 = make([]complex64, n)
-	return q
 }
 
 // Size returns the half-field component count.

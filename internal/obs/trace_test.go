@@ -208,14 +208,44 @@ func TestTracerConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	busy := tr.BusySeconds("work")
-	// Every span took exactly one clock step (100us).
-	want := float64(workers*per) * 100e-6
-	if got := busy[1]; got < want*0.999 || got > want*1.001 {
-		t.Fatalf("busy seconds = %v, want %v", got, want)
-	}
+	// The goroutines share the tracer's one step clock, so how long a
+	// span lasts depends on how many other clock reads land between its
+	// Begin and End. Only interleaving-free facts are asserted: every
+	// span and instant is recorded on its own lane, each span lasts a
+	// positive whole number of steps, and the busy integral is their sum.
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
+	}
+	var parsed struct {
+		TraceEvents []event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
+		t.Fatalf("trace not valid JSON: %v", err)
+	}
+	spans, instants := map[int]int{}, map[int]int{}
+	var durSum int64
+	for _, e := range parsed.TraceEvents {
+		if e.Cat != "work" || e.PID != 1 {
+			continue
+		}
+		switch e.Ph {
+		case "X":
+			if e.Dur <= 0 || e.Dur%100 != 0 {
+				t.Fatalf("span on lane %d lasts %dus, want a positive multiple of the 100us step", e.TID, e.Dur)
+			}
+			spans[e.TID]++
+			durSum += e.Dur
+		case "i":
+			instants[e.TID]++
+		}
+	}
+	for w := 0; w < workers; w++ {
+		if spans[w] != per || instants[w] != per {
+			t.Fatalf("lane %d: %d spans and %d instants, want %d of each", w, spans[w], instants[w], per)
+		}
+	}
+	if got, want := tr.BusySeconds("work")[1], float64(durSum)*1e-6; got < want*0.999 || got > want*1.001 {
+		t.Fatalf("busy seconds = %v, exported spans sum to %v", got, want)
 	}
 }

@@ -169,6 +169,22 @@ func NewQuarkSolver(eo *dirac.MobiusEO, par solver.Params) *QuarkSolver {
 	return qs
 }
 
+// Fork returns a solver for another goroutine: its operator pair is a
+// scratch-only fork of qs's (dirac.MobiusEO.Fork and MobiusEO32.Fork),
+// its parameters are qs's except for the kernel and BLAS-1 width
+// (Wilson.Workers and Params.Workers), which is workers (<= 0: the
+// default), and its totals start at zero. Reductions use fixed chunks at
+// any width, so a fork's solves give qs's bits.
+func (qs *QuarkSolver) Fork(workers int) *QuarkSolver {
+	f := &QuarkSolver{EO: qs.EO.Fork(), Par: qs.Par}
+	if qs.Sloppy != nil {
+		f.Sloppy = qs.Sloppy.Fork(f.EO)
+	}
+	f.EO.M.W.Workers = workers
+	f.Par.Workers = workers
+	return f
+}
+
 // Solve5D solves the domain-wall system for a 4-D source and returns the
 // full five-dimensional solution (the midpoint slices carry the residual
 // chiral-symmetry-breaking diagnostics).

@@ -228,6 +228,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// KernelWidth is the goroutine count a solve-class task gives its own
+// kernels and BLAS-1: the cores (GOMAXPROCS) shared out over the solve
+// workers, at least 1. One solve worker gets the whole machine, the
+// kernels' default width; at GOMAXPROCS workers each task runs its
+// kernels serially, so pool workers times kernel goroutines never
+// oversubscribe the cores.
+func (c Config) KernelWidth() int {
+	return max(1, goruntime.GOMAXPROCS(0)/c.withDefaults().SolveWorkers)
+}
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if err := c.Fault.Validate(); err != nil {
